@@ -1,9 +1,9 @@
 """Structured Streaming demo — FreeBS/FreeRS as stateful aggregations.
 
 Replays a catalog dataset as a micro-batched file stream and runs the
-``applyInPandasWithState`` implementations, printing per-batch progress
-and the final top estimated users, cross-checked against the batch
-implementation.
+``applyInPandasWithState`` implementations, printing each non-empty
+trigger's time and state-store instance count and the final top
+estimated users, cross-checked against the batch implementation.
 
 Run: ``spark-submit jobs/streaming_demo.py [--dataset flickr] [--edges N]``
 """
@@ -56,6 +56,14 @@ def main(argv=None) -> int:
             )
             q.awaitTermination()
             got = spark.table(f"{name}_demo").toPandas()
+        print(f"\n=== {name}: triggers ===")
+        for p in q.recentProgress:
+            if p.numInputRows > 0:
+                print(
+                    f"  batch {p.batchId}: {p.numInputRows} edges, "
+                    f"{p.durationMs['triggerExecution']} ms, "
+                    f"{p.stateOperators[0].numStateStoreInstances} state-store instance(s)"
+                )
         est = got.groupby("user")["contrib"].sum().sort_values(ascending=False)
         want = (
             local(users, items, M, seed=args.seed)

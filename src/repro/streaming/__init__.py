@@ -9,7 +9,12 @@ as Spark Structured Streaming stateful aggregations
   group: the packed bit/register array plus the incremental ``q``
   bookkeeping live in state and each micro-batch is absorbed with the
   same vectorized event algebra as the batch implementation. Tests
-  assert the streaming run equals the batch run exactly.
+  assert the streaming run equals the batch run exactly. The group runs
+  on one state-store partition: the returned DataFrame's ``writeStream``
+  starts its query with ``spark.sql.shuffle.partitions`` at 1, changing
+  the caller's session setting for the duration of ``start()`` only.
+  The count is fixed in the checkpoint at first start, and transforming
+  the returned DataFrame before ``writeStream`` drops the policy.
 * :mod:`repro.streaming.per_user` — the per-key pattern: per-user
   HLL++ sketch arrays keyed by user, emitting each user's current
   estimate every micro-batch.

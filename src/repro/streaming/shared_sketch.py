@@ -9,24 +9,41 @@ micro-batch is absorbed with the same vectorized event algebra as the
 batch implementation (DESIGN.md §2), so a streaming run is *exactly*
 equal to a batch run over the concatenated stream — asserted by tests.
 
-State size is ``M/8`` bytes (FreeBS) or ``M`` bytes (FreeRS): a few
-hundred KB at the paper's M, well inside state-store limits. The output
-is the trace of accepted events ``(t, user, contrib)`` in append mode;
-per-user estimates are its running sums, exactly as in batch.
+State size is ``M/8`` bytes (FreeBS) or one byte per register (FreeRS):
+62.5 MB at the paper's 5e8 bits, 100 MB at 1e8 registers, and the whole
+state is rewritten on every trigger. The output is the trace of
+accepted events ``(t, user, contrib)`` in append mode; per-user
+estimates are its running sums, exactly as in batch.
+
+**One state-store partition.** The single state group needs one
+state-store partition, but Spark sizes the stateful operator by
+``spark.sql.shuffle.partitions`` and runs (and commits) every partition
+on every trigger, empty or not. The returned DataFrame's
+``writeStream`` therefore starts its query with that setting at 1:
+
+* the count is fixed in the query's checkpoint at first start: a
+  checkpoint written with more partitions keeps them on restart;
+* the caller's session setting is changed for the duration of
+  ``start()``/``toTable()`` only and restored afterwards (do not start
+  other queries on the same session concurrently);
+* a transformation applied to the returned DataFrame before
+  ``writeStream`` yields a plain DataFrame and drops the policy.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+from pyspark.sql.streaming import DataStreamWriter
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from pyspark.sql.types import (
     BinaryType,
     DoubleType,
-    IntegerType,
     LongType,
     StructField,
     StructType,
@@ -43,6 +60,49 @@ _TRACE_SCHEMA = StructType(
 )
 
 
+_SHUFFLE_PARTITIONS = "spark.sql.shuffle.partitions"
+
+
+@contextmanager
+def _one_shuffle_partition(spark: SparkSession):
+    caller = spark.conf.get(_SHUFFLE_PARTITIONS)
+    spark.conf.set(_SHUFFLE_PARTITIONS, "1")
+    try:
+        yield
+    finally:
+        spark.conf.set(_SHUFFLE_PARTITIONS, caller)
+
+
+class _OnePartitionWriter(DataStreamWriter):
+    """Starts the query with one shuffle partition (module docstring)."""
+
+    def start(self, *args, **kwargs):
+        with _one_shuffle_partition(self._spark):
+            return super().start(*args, **kwargs)
+
+    def toTable(self, *args, **kwargs):
+        with _one_shuffle_partition(self._spark):
+            return super().toTable(*args, **kwargs)
+
+
+class _OnePartitionDataFrame(ClassicDataFrame):
+    @property
+    def writeStream(self) -> DataStreamWriter:
+        return _OnePartitionWriter(self)
+
+
+def _single_group(edges: DataFrame, fn, state_schema: StructType) -> DataFrame:
+    """Run ``fn`` over the whole stream as one state group, on one partition."""
+    out = (
+        edges.withColumn("g", F.lit(0))
+        .groupBy("g")
+        .applyInPandasWithState(
+            fn, _TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
+        )
+    )
+    return _OnePartitionDataFrame(out._jdf, out.sparkSession)
+
+
 def _collect_sorted(pdfs: Iterator[pd.DataFrame]) -> pd.DataFrame:
     chunks = [p for p in pdfs if len(p)]
     if not chunks:
@@ -51,7 +111,15 @@ def _collect_sorted(pdfs: Iterator[pd.DataFrame]) -> pd.DataFrame:
 
 
 def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
-    """Streaming FreeBS: trace of accepted events, append mode."""
+    """Streaming FreeBS: trace of accepted events, append mode.
+
+    The returned DataFrame's ``writeStream`` starts the query on one
+    state-store partition whatever the session's
+    ``spark.sql.shuffle.partitions``. That count is fixed in the
+    checkpoint at first start; the session setting is changed for the
+    duration of ``start()`` only; transforming the DataFrame before
+    ``writeStream`` drops the policy.
+    """
 
     state_schema = StructType(
         [StructField("packed", BinaryType()), StructField("m0", LongType())]
@@ -79,7 +147,6 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
             contrib = M / (m0 - k)
             B[bits[ev]] = True
             m0 -= int(ev.sum())
-            state.update((np.packbits(B).tobytes(), int(m0)))
             yield pd.DataFrame(
                 {
                     "t": pdf["t"].to_numpy(np.int64)[ev],
@@ -87,26 +154,22 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
                     "contrib": contrib,
                 }
             )
-        else:
-            state.update(
-                (np.packbits(B).tobytes(), int(m0))
-                if state.exists
-                else (np.packbits(B).tobytes(), M)
-            )
+        # Spark reads the state after the output iterator is exhausted
+        state.update((np.packbits(B).tobytes(), int(m0)))
 
-    return (
-        edges.withColumn("g", F.lit(0))
-        .groupBy("g")
-        .applyInPandasWithState(
-            fn, _TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
-        )
-    )
+    return _single_group(edges, fn, state_schema)
 
 
 def freers_stateful(
     edges: DataFrame, M: int, seed: int = 0, w: int = 5
 ) -> DataFrame:
-    """Streaming FreeRS: trace of accepted events, append mode."""
+    """Streaming FreeRS: trace of accepted events, append mode.
+
+    One state-store partition, with the limits of :func:`freebs_stateful`:
+    the count is fixed in the checkpoint at first start, the session
+    setting is changed for the duration of ``start()`` only, and
+    transforming the DataFrame before ``writeStream`` drops the policy.
+    """
     cap = (1 << w) - 1
 
     state_schema = StructType(
@@ -154,17 +217,9 @@ def freers_stateful(
 
             np.maximum.at(R, regs, rhos.astype(np.uint8))
             hsum = float(s_pre[-1] + delta[-1]) if len(delta) else hsum
-            state.update((R.tobytes(), hsum))
             yield pd.DataFrame(
                 {"t": ts[idx], "user": users[idx], "contrib": contrib}
             )
-        else:
-            state.update((R.tobytes(), hsum))
+        state.update((R.tobytes(), hsum))
 
-    return (
-        edges.withColumn("g", F.lit(0))
-        .groupBy("g")
-        .applyInPandasWithState(
-            fn, _TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
-        )
-    )
+    return _single_group(edges, fn, state_schema)

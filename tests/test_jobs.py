@@ -59,6 +59,14 @@ class TestJobMains:
         assert main(["--edges", "1000", "--ms", "64"]) == 0
         assert "Fig. 3" in capsys.readouterr().out
 
+    def test_streaming_demo_main(self, spark, capsys):
+        from streaming_demo import main
+
+        assert main(["--edges", "3000", "--batches", "3", "--M", "4096"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("streaming == batch") == 2
+        assert out.count("1 state-store instance(s)") == 6
+
     def test_fig5_main(self, capsys):
         from fig5_rse import main
 

@@ -2,8 +2,11 @@
 
 A streaming run over N micro-batches must produce exactly the same
 trace/estimates as one batch pass — state (the shared array and its q
-bookkeeping) carries across triggers.
+bookkeeping) carries across triggers, and across a restart from the
+query's checkpoint.
 """
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -43,38 +46,82 @@ def _run_query(result_df, name):
     return q
 
 
+def _state_store_instances(q):
+    """``numStateStoreInstances`` of every non-empty trigger of ``q``."""
+    return [
+        p.stateOperators[0].numStateStoreInstances
+        for p in q.recentProgress
+        if p.numInputRows > 0
+    ]
+
+
+def _assert_trace(got, want):
+    got = got.sort_values("t").reset_index(drop=True)
+    assert np.array_equal(got["t"], want["t"])
+    assert np.array_equal(got["user"], want["user"])
+    np.testing.assert_allclose(got["contrib"], want["contrib"], rtol=1e-9)
+
+
+_SKETCHES = pytest.mark.parametrize(
+    "stateful, local, name",
+    [
+        (freebs_stateful, freebs_trace, "freebs_stream"),
+        (freers_stateful, freers_trace, "freers_stream"),
+    ],
+)
+
+
 @pytest.fixture(scope="module")
 def edges_pdf():
     return _stream_pdf(30, 500, 5000, 7)
 
 
 class TestSharedSketchStreaming:
-    @pytest.mark.parametrize(
-        "stateful, local, name",
-        [
-            (freebs_stateful, freebs_trace, "freebs_stream"),
-            (freers_stateful, freers_trace, "freers_stream"),
-        ],
-    )
+    @_SKETCHES
     def test_streaming_equals_batch(
         self, spark, tmp_path, edges_pdf, stateful, local, name
     ):
         M = 1024
+        partitions = spark.conf.get("spark.sql.shuffle.partitions")
+        assert partitions != "1"  # the session's setting is not the query's
         write_stream_batches(edges_pdf, tmp_path / name, n_batches=5)
         stream = read_edge_stream(spark, tmp_path / name)
-        _run_query(stateful(stream, M), name)
-        got = (
-            spark.table(name)
-            .toPandas()
-            .sort_values("t")
-            .reset_index(drop=True)
-        )
+        q = _run_query(stateful(stream, M), name)
+        assert spark.conf.get("spark.sql.shuffle.partitions") == partitions
+        assert _state_store_instances(q) == [1] * 5
         want = local(
             edges_pdf["user"].to_numpy(), edges_pdf["item"].to_numpy(), M
         )
-        assert np.array_equal(got["t"], want["t"])
-        assert np.array_equal(got["user"], want["user"])
-        np.testing.assert_allclose(got["contrib"], want["contrib"], rtol=1e-9)
+        _assert_trace(spark.table(name).toPandas(), want)
+
+    @_SKETCHES
+    def test_restart_from_checkpoint(
+        self, spark, tmp_path, edges_pdf, stateful, local, name
+    ):
+        # three files, stop; two more files with later mtimes, restart
+        M = 1024
+        staged = write_stream_batches(edges_pdf, tmp_path / "staged", n_batches=5)
+        src, out, ck = tmp_path / "src", tmp_path / "out", tmp_path / "ck"
+        src.mkdir()
+        for files in (staged[:3], staged[3:]):
+            for f in files:
+                os.rename(f, src / f.name)  # keeps the mtime
+            q = (
+                stateful(read_edge_stream(spark, src), M)
+                .writeStream.format("parquet")
+                .option("path", str(out))
+                .option("checkpointLocation", str(ck))
+                .outputMode("append")
+                .trigger(availableNow=True)
+                .start()
+            )
+            q.awaitTermination(timeout=300)
+            assert q.exception() is None
+            assert _state_store_instances(q) == [1] * len(files)
+        want = local(
+            edges_pdf["user"].to_numpy(), edges_pdf["item"].to_numpy(), M
+        )
+        _assert_trace(spark.read.parquet(str(out)).toPandas(), want)
 
     def test_state_persists_across_many_batches(self, spark, tmp_path):
         # 1 batch vs 10 batches must agree: state round-trips exactly
@@ -92,6 +139,16 @@ class TestSharedSketchStreaming:
                 spark.table(name).toPandas().sort_values("t").reset_index(drop=True)
             )
         pd.testing.assert_frame_equal(results[1], results[10])
+
+        # more batches than edges: np.array_split writes zero-row files
+        tiny = _stream_pdf(3, 20, 6, 2)
+        write_stream_batches(tiny, tmp_path / "tiny", n_batches=10)
+        _run_query(
+            freebs_stateful(read_edge_stream(spark, tmp_path / "tiny"), M),
+            "freebs_tiny",
+        )
+        want = freebs_trace(tiny["user"].to_numpy(), tiny["item"].to_numpy(), M)
+        _assert_trace(spark.table("freebs_tiny").toPandas(), want)
 
 
 class TestPerUserStreaming:
