@@ -14,8 +14,7 @@ import tempfile
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.freebs import freebs_trace
-from repro.core.freers import freers_trace
+from repro.core import estimates_from_trace, freebs_trace, freers_trace
 from repro.datasets import CATALOG, generate_stream
 from repro.streaming import (
     freebs_stateful,
@@ -64,12 +63,8 @@ def main(argv=None) -> int:
                     f"{p.durationMs['triggerExecution']} ms, "
                     f"{p.stateOperators[0].numStateStoreInstances} state-store instance(s)"
                 )
-        est = got.groupby("user")["contrib"].sum().sort_values(ascending=False)
-        want = (
-            local(users, items, M, seed=args.seed)
-            .groupby("user")["contrib"]
-            .sum()
-        )
+        est = estimates_from_trace(got).sort_values(ascending=False)
+        want = estimates_from_trace(local(users, items, M, seed=args.seed))
         np.testing.assert_allclose(
             est.sort_index().to_numpy(), want.sort_index().to_numpy(), rtol=1e-9
         )

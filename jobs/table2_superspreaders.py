@@ -53,9 +53,13 @@ def _check_free_methods_on_spark(stream, M_bits, seed):
     from pyspark.sql import SparkSession
 
     from repro.analysis.harness import REGISTER_WIDTH
-    from repro.core import freebs_spark, freers_spark
-    from repro.core.freebs import freebs_trace
-    from repro.core.freers import freers_trace
+    from repro.core import (
+        estimates_from_trace,
+        freebs_spark,
+        freebs_trace,
+        freers_spark,
+        freers_trace,
+    )
 
     spark = SparkSession.builder.appName("table2-check").getOrCreate()
     sdf = spark.createDataFrame(stream).repartition(16)
@@ -70,12 +74,7 @@ def _check_free_methods_on_spark(stream, M_bits, seed):
             .set_index("user")["estimate"]
             .sort_index()
         )
-        want = (
-            local_fn(users, items, M, seed=seed)
-            .groupby("user")["contrib"]
-            .sum()
-            .sort_index()
-        )
+        want = estimates_from_trace(local_fn(users, items, M, seed=seed)).sort_index()
         np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-9)
     print("[table2] spark-check passed: distributed == sequential")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -33,8 +34,13 @@ from repro.analysis.metrics import (
     truth_at_checkpoints,
 )
 from repro.baselines import CseSketch, HllPerUser, LpcPerUser, VhllSketch
-from repro.core.freebs import freebs_sequential, freebs_trace
-from repro.core.freers import freers_sequential, freers_trace
+from repro.core import (
+    estimates_from_trace,
+    freebs_sequential,
+    freebs_trace,
+    freers_sequential,
+    freers_trace,
+)
 
 REGISTER_WIDTH = 5  # w: bits per shared register (paper §V-B)
 HLLPP_WIDTH = 6  # HLL++ registers are 6-bit (paper §V-B)
@@ -58,6 +64,37 @@ class TrackedResult:
     config: dict = field(default_factory=dict)
 
 
+# FreeBS/FreeRS: method -> (Algorithm 1/2 loop, numpy trace), both
+# called as (users, items, M, seed=...)
+_FREE = {
+    "freebs": (freebs_sequential, freebs_trace),
+    "freers": (
+        partial(freers_sequential, w=REGISTER_WIDTH),
+        partial(freers_trace, w=REGISTER_WIDTH),
+    ),
+}
+# tracked-counter baselines: method -> sketch factory (M, m, seed)
+_BASELINES = {
+    "cse": lambda M, m, seed: CseSketch(M=M, m=m, seed=seed),
+    "vhll": lambda M, m, seed: VhllSketch(M=M, m=m, w=REGISTER_WIDTH, seed=seed),
+    "hllpp": lambda M, m, seed: HllPerUser(m=m, w=HLLPP_WIDTH, seed=seed),
+    "lpc": lambda M, m, seed: LpcPerUser(m=m, seed=seed),
+}
+# per-user sketches: bits per cell, for their share of the budget
+_PER_USER_WIDTH = {"hllpp": HLLPP_WIDTH, "lpc": 1}
+# shared arrays of w-bit registers get M_bits/w cells
+_REGISTER_METHODS = ("freers", "vhll")
+
+
+def _array_size(method: str, M_bits: int, m: int) -> int:
+    """Cells of ``method``'s shared array under a budget of ``M_bits``."""
+    if method not in _FREE and method not in _BASELINES:
+        raise ValueError(f"unknown method {method!r}")
+    if method in _REGISTER_METHODS:
+        return max(m + 1, M_bits // REGISTER_WIDTH)
+    return M_bits
+
+
 def run_tracked(
     stream: pd.DataFrame,
     M_bits: int,
@@ -75,53 +112,24 @@ def run_tracked(
     est: dict[str, pd.Series] = {}
     snaps: dict[str, dict[int, pd.Series]] = {}
 
-    def _dict_snaps(d: dict[int, dict[int, float]]) -> dict[int, pd.Series]:
-        return {
-            cp: pd.Series(v, dtype=np.float64).rename_axis("user")
-            for cp, v in d.items()
-        }
-
     for method in methods:
-        if method == "freebs":
-            trace = freebs_trace(users, items, M_bits, seed=seed)
-            est[method] = trace.groupby("user")["contrib"].sum()
+        M = _array_size(method, M_bits, m)
+        if method in _FREE:
+            trace = _FREE[method][1](users, items, M, seed=seed)
+            est[method] = estimates_from_trace(trace)
             if cps:
                 snaps[method] = estimates_at_checkpoints(trace, cps)
-        elif method == "freers":
-            trace = freers_trace(
-                users, items, M_regs, seed=seed, w=REGISTER_WIDTH
-            )
-            est[method] = trace.groupby("user")["contrib"].sum()
-            if cps:
-                snaps[method] = estimates_at_checkpoints(trace, cps)
-        elif method == "cse":
-            sk = CseSketch(M=M_bits, m=m, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        elif method == "vhll":
-            sk = VhllSketch(M=M_regs, m=m, w=REGISTER_WIDTH, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        elif method == "hllpp":
-            mu = per_user_m(M_bits, n_users, HLLPP_WIDTH)
-            sk = HllPerUser(m=mu, w=HLLPP_WIDTH, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        elif method == "lpc":
-            mu = per_user_m(M_bits, n_users, 1)
-            sk = LpcPerUser(m=mu, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+            continue
+        width = _PER_USER_WIDTH.get(method)
+        mu = m if width is None else per_user_m(M_bits, n_users, width)
+        sk = _BASELINES[method](M, mu, seed)
+        s = sk.run(users, items, checkpoints=cps)
+        est[method] = sk.final_estimates()
+        if cps:
+            snaps[method] = {
+                cp: pd.Series(v, dtype=np.float64).rename_axis("user")
+                for cp, v in s.items()
+            }
     return TrackedResult(
         estimates=est,
         snapshots=snaps,
@@ -208,22 +216,12 @@ def measure_update_ns(
     arriving user's (virtual) sketch, as in the paper's implementations.
     FreeBS/FreeRS take no m (their O(1) loop is Algorithm 1/2).
     """
-    M_regs = max(m + 1, M_bits // REGISTER_WIDTH)
+    M = _array_size(method, M_bits, m)
     start = time.perf_counter()
-    if method == "freebs":
-        freebs_sequential(users, items, M_bits, seed=seed)
-    elif method == "freers":
-        freers_sequential(users, items, M_regs, seed=seed, w=REGISTER_WIDTH)
-    elif method == "cse":
-        CseSketch(M=M_bits, m=m, seed=seed).run(users, items)
-    elif method == "vhll":
-        VhllSketch(M=M_regs, m=m, w=REGISTER_WIDTH, seed=seed).run(users, items)
-    elif method == "hllpp":
-        HllPerUser(m=m, w=HLLPP_WIDTH, seed=seed).run(
-            users, items, enumerate_state=True
-        )
-    elif method == "lpc":
-        LpcPerUser(m=m, seed=seed).run(users, items, enumerate_state=True)
+    if method in _FREE:
+        _FREE[method][0](users, items, M, seed=seed)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        # the per-user sketches re-read their m cells on every estimate
+        kwargs = {"enumerate_state": True} if method in _PER_USER_WIDTH else {}
+        _BASELINES[method](M, m, seed).run(users, items, **kwargs)
     return (time.perf_counter() - start) / len(users) * 1e9

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.core.trace import estimates_from_trace
+
 
 def _align(estimates: pd.Series, truth: pd.Series) -> pd.DataFrame:
     """Join estimates to truth on user; users never estimated get 0."""
@@ -99,8 +101,7 @@ def estimates_at_checkpoints(
     out: dict[int, pd.Series] = {}
     trace = trace.sort_values("t")
     for cp in checkpoints:
-        pre = trace[trace["t"] < cp]
-        out[cp] = pre.groupby("user")["contrib"].sum()
+        out[cp] = estimates_from_trace(trace[trace["t"] < cp])
     return out
 
 

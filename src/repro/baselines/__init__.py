@@ -9,6 +9,8 @@
   [Yoon et al. 2009].
 * :mod:`repro.baselines.vhll` — vHLL virtual-HLL register sharing
   [Xiao et al. 2015].
+* :mod:`repro.baselines.tracked` — what all four share: the
+  checkpointed tracked-counter ``run``, and CSE/vHLL's virtual sketches.
 
 Each shared-array baseline has (a) a sequential *tracked-counter* run —
 the paper's evaluation protocol (§V-B: one counter per user, updated on

@@ -32,44 +32,21 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.hashing import f_user, h_item
+from repro.baselines.tracked import VirtualSketch, edge_positions
 
 
-class CseSketch:
+class CseSketch(VirtualSketch):
     """Shared bit array + per-user tracked counters (sequential)."""
 
     def __init__(self, M: int, m: int, seed: int = 0):
         if not 1 <= m <= M:
             raise ValueError("need 1 <= m <= M")
-        self.M, self.m, self.seed = int(M), int(m), seed
+        super().__init__(M, m, seed)
         self.A = np.zeros(self.M, dtype=bool)
         self.U = self.M  # global zero count
-        self.estimates: dict[int, float] = {}
-        self._iota = np.arange(self.m, dtype=np.int64)
-        # virtual-sketch index cache: recomputing f_1..f_m(s) costs
-        # ~m hash ops per edge; heavy-tail streams revisit the same
-        # users constantly, so memoize (int32, capped ~64 MB)
-        self._idx_cache: dict[int, np.ndarray] = {}
-        self._idx_cache_cap = 16384
 
-    def _user_idx(self, s: int) -> np.ndarray:
-        """Memoized virtual-sketch positions ``f_1(s)..f_m(s)``."""
-        idx = self._idx_cache.get(s)
-        if idx is None:
-            idx = f_user(np.int64(s), self._iota, self.M, seed=self.seed).astype(
-                np.int32
-            )
-            if len(self._idx_cache) < self._idx_cache_cap:
-                self._idx_cache[s] = idx
-        return idx
-
-    def estimate(self, s: int) -> float:
-        """End-state CSE estimate for user s from the current array."""
-        idx = self._user_idx(s)
+    def _estimate_at(self, idx: np.ndarray) -> float:
         virtual_zeros = int(self.m - self.A[idx].sum())
-        return self._formula(virtual_zeros)
-
-    def _formula(self, virtual_zeros: int) -> float:
         first = -self.m * math.log(max(virtual_zeros, 1) / self.m)
         noise = -self.m * math.log(max(self.U, 1) / self.M)
         return max(0.0, first - noise)
@@ -81,38 +58,8 @@ class CseSketch:
             self.U -= 1
         self.estimates[s] = self.estimate(s)
 
-    def run(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        checkpoints: list[int] | None = None,
-    ) -> dict[int, dict[int, float]]:
-        """Stream all edges; return estimate snapshots at checkpoints."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        i_of_item = h_item(items, self.m, seed=self.seed)
-        pos = f_user(users, i_of_item, self.M, seed=self.seed)
-        snaps: dict[int, dict[int, float]] = {}
-        cps = sorted(checkpoints or [])
-        ci = 0
-        for t in range(len(users)):
-            while ci < len(cps) and cps[ci] <= t:
-                snaps[cps[ci]] = dict(self.estimates)
-                ci += 1
-            self.update(int(users[t]), int(pos[t]))
-        for cp in cps[ci:]:
-            snaps[cp] = dict(self.estimates)
-        return snaps
-
-    def final_estimates(self) -> pd.Series:
-        """Tracked counters as a Series (index: user)."""
-        return pd.Series(self.estimates, dtype=np.float64).rename_axis("user")
-
-    def end_state_estimates(self, users: np.ndarray) -> pd.Series:
-        """Re-estimate the given users against the *final* array."""
-        return pd.Series(
-            {int(s): self.estimate(int(s)) for s in users}, dtype=np.float64
-        ).rename_axis("user")
+    def _cells(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+        return [edge_positions(users, items, self.m, self.M, seed=self.seed)]
 
 
 def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
@@ -121,14 +68,13 @@ def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
     The final array state is order-independent (a union of set bits), so
     it distributes cleanly: hash every edge to its bit position, take
     the distinct positions, pack them into an M-bit bitmap on the
-    driver, broadcast it, and evaluate every user's virtual sketch in a
-    vectorized ``mapInPandas`` pass.
+    driver, broadcast it, and evaluate every user's virtual sketch with
+    :meth:`CseSketch.end_state_estimates` in a ``mapInPandas`` pass.
     """
 
     @F.pandas_udf(LongType())
     def pos_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        i = h_item(item.to_numpy(), m, seed=seed)
-        return pd.Series(f_user(user.to_numpy(), i, M, seed=seed))
+        return pd.Series(edge_positions(user.to_numpy(), item.to_numpy(), m, M, seed))
 
     set_bits = (
         edges.select(pos_udf("user", "item").alias("pos"))
@@ -139,24 +85,17 @@ def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
     A = np.zeros(M, dtype=bool)
     A[set_bits] = True
     U = int(M - len(set_bits))
-    noise = -m * math.log(max(U, 1) / M)
-    sc = edges.sparkSession.sparkContext
-    bA = sc.broadcast(np.packbits(A))
+    bA = edges.sparkSession.sparkContext.broadcast(np.packbits(A))
 
     out_schema = StructType(
         [StructField("user", LongType()), StructField("estimate", DoubleType())]
     )
 
     def per_user(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        A_local = np.unpackbits(bA.value)[:M].astype(bool)
-        iota = np.arange(m, dtype=np.int64)
+        sk = CseSketch(M, m, seed=seed)
+        sk.A, sk.U = np.unpackbits(bA.value, count=M).astype(bool), U
         for pdf in batches:
-            users = pdf["user"].to_numpy()
-            ests = np.empty(len(users), dtype=np.float64)
-            for k, s in enumerate(users):
-                idx = f_user(np.int64(s), iota, M, seed=seed)
-                zeros = max(int(m - A_local[idx].sum()), 1)
-                ests[k] = max(0.0, -m * math.log(zeros / m) - noise)
-            yield pd.DataFrame({"user": users, "estimate": ests})
+            est = sk.end_state_estimates(pdf["user"].to_numpy())
+            yield pd.DataFrame({"user": est.index, "estimate": est.to_numpy()})
 
     return edges.select("user").distinct().mapInPandas(per_user, out_schema)

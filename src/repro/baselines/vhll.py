@@ -32,7 +32,8 @@ from repro.baselines.estimators import (
     linear_counting,
     pow2_neg_table,
 )
-from repro.hashing import f_user, h_item, rho_item
+from repro.baselines.tracked import VirtualSketch, edge_positions
+from repro.hashing import rho_item
 
 
 def _vhll_formula(
@@ -61,40 +62,21 @@ def _vhll_formula(
     return max(0.0, M / (M - m) * (first - noise))
 
 
-class VhllSketch:
+class VhllSketch(VirtualSketch):
     """Shared register array + per-user tracked counters (sequential)."""
 
     def __init__(self, M: int, m: int, w: int = 5, seed: int = 0):
         if not 1 <= m < M:
             raise ValueError("need 1 <= m < M")
-        self.M, self.m, self.w, self.seed = int(M), int(m), int(w), seed
+        super().__init__(M, m, seed)
+        self.w = int(w)
         self.cap = (1 << w) - 1
         self._pow2 = pow2_neg_table(self.cap)
         self.R = np.zeros(self.M, dtype=np.uint8)
         self.global_hsum = float(self.M)  # Σ_j 2^{-R[j]}, maintained O(1)
         self.global_zeros = self.M  # #zero registers, maintained O(1)
-        self.estimates: dict[int, float] = {}
-        self._iota = np.arange(self.m, dtype=np.int64)
-        # virtual-sketch index cache: recomputing f_1..f_m(s) costs
-        # ~m hash ops per edge; heavy-tail streams revisit the same
-        # users constantly, so memoize (int32, capped ~64 MB)
-        self._idx_cache: dict[int, np.ndarray] = {}
-        self._idx_cache_cap = 16384
 
-    def _user_idx(self, s: int) -> np.ndarray:
-        """Memoized virtual-sketch positions ``f_1(s)..f_m(s)``."""
-        idx = self._idx_cache.get(s)
-        if idx is None:
-            idx = f_user(np.int64(s), self._iota, self.M, seed=self.seed).astype(
-                np.int32
-            )
-            if len(self._idx_cache) < self._idx_cache_cap:
-                self._idx_cache[s] = idx
-        return idx
-
-    def estimate(self, s: int) -> float:
-        """End-state vHLL estimate for user s from the current array."""
-        idx = self._user_idx(s)
+    def _estimate_at(self, idx: np.ndarray) -> float:
         vals = self.R[idx]
         hsum = float(self._pow2[vals].sum())
         zeros = int((vals == 0).sum())
@@ -112,39 +94,11 @@ class VhllSketch:
             self.R[pos] = r
         self.estimates[s] = self.estimate(s)
 
-    def run(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        checkpoints: list[int] | None = None,
-    ) -> dict[int, dict[int, float]]:
-        """Stream all edges; return estimate snapshots at checkpoints."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        i_of_item = h_item(items, self.m, seed=self.seed)
-        pos = f_user(users, i_of_item, self.M, seed=self.seed)
-        rs = rho_item(items, cap=self.cap, seed=self.seed)
-        snaps: dict[int, dict[int, float]] = {}
-        cps = sorted(checkpoints or [])
-        ci = 0
-        for t in range(len(users)):
-            while ci < len(cps) and cps[ci] <= t:
-                snaps[cps[ci]] = dict(self.estimates)
-                ci += 1
-            self.update(int(users[t]), int(pos[t]), int(rs[t]))
-        for cp in cps[ci:]:
-            snaps[cp] = dict(self.estimates)
-        return snaps
-
-    def final_estimates(self) -> pd.Series:
-        """Tracked counters as a Series (index: user)."""
-        return pd.Series(self.estimates, dtype=np.float64).rename_axis("user")
-
-    def end_state_estimates(self, users: np.ndarray) -> pd.Series:
-        """Re-estimate the given users against the *final* array."""
-        return pd.Series(
-            {int(s): self.estimate(int(s)) for s in users}, dtype=np.float64
-        ).rename_axis("user")
+    def _cells(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+        return [
+            edge_positions(users, items, self.m, self.M, seed=self.seed),
+            rho_item(items, cap=self.cap, seed=self.seed),
+        ]
 
 
 def vhll_spark(
@@ -154,14 +108,14 @@ def vhll_spark(
 
     The final register array is order-independent (elementwise max), so
     it is a ``groupBy(pos).agg(max(rho))`` aggregation; the array is
-    then broadcast and users evaluated vectorized in ``mapInPandas``.
+    then broadcast and users evaluated with
+    :meth:`VhllSketch.end_state_estimates` in ``mapInPandas``.
     """
     cap = (1 << w) - 1
 
     @F.pandas_udf(LongType())
     def pos_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        i = h_item(item.to_numpy(), m, seed=seed)
-        return pd.Series(f_user(user.to_numpy(), i, M, seed=seed))
+        return pd.Series(edge_positions(user.to_numpy(), item.to_numpy(), m, M, seed))
 
     @F.pandas_udf(LongType())
     def rho_udf(item: pd.Series) -> pd.Series:
@@ -177,30 +131,19 @@ def vhll_spark(
     )
     R = np.zeros(M, dtype=np.uint8)
     R[reg_state["pos"].to_numpy()] = reg_state["r"].to_numpy()
-    pow2 = pow2_neg_table(cap)
-    global_hsum = float(pow2[R].sum())
+    global_hsum = float(pow2_neg_table(cap)[R].sum())
     global_zeros = int((R == 0).sum())
-    sc = edges.sparkSession.sparkContext
-    bR = sc.broadcast(R)
+    bR = edges.sparkSession.sparkContext.broadcast(R)
 
     out_schema = StructType(
         [StructField("user", LongType()), StructField("estimate", DoubleType())]
     )
 
     def per_user(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        R_local = bR.value
-        iota = np.arange(m, dtype=np.int64)
+        sk = VhllSketch(M, m, w=w, seed=seed)
+        sk.R, sk.global_hsum, sk.global_zeros = bR.value, global_hsum, global_zeros
         for pdf in batches:
-            users = pdf["user"].to_numpy()
-            ests = np.empty(len(users), dtype=np.float64)
-            for k, s in enumerate(users):
-                idx = f_user(np.int64(s), iota, M, seed=seed)
-                vals = R_local[idx]
-                hsum = float(pow2[vals].sum())
-                zeros = int((vals == 0).sum())
-                ests[k] = _vhll_formula(
-                    M, m, hsum, zeros, global_hsum, global_zeros
-                )
-            yield pd.DataFrame({"user": users, "estimate": ests})
+            est = sk.end_state_estimates(pdf["user"].to_numpy())
+            yield pd.DataFrame({"user": est.index, "estimate": est.to_numpy()})
 
     return edges.select("user").distinct().mapInPandas(per_user, out_schema)

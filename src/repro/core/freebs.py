@@ -11,10 +11,11 @@ ranked ``k = 1, 2, …`` by arrival time, the k-th flip sees
 ``m0 = M-(k-1)`` zeros and therefore contributes ``M/(M-k+1)``. All
 three implementations below compute exactly this.
 
-The *trace* of a run is the DataFrame of accepted (bit-flipping) events
-``(t, user, contrib)`` sorted by ``t``; a user's estimate at any time T
-is the sum of its contributions with ``t <= T``, which is what makes
-the anytime-available evaluation (Fig. 6) a cumulative sum.
+The numpy trace and the streaming state absorb arrivals with one
+kernel, :func:`freebs_absorb`; the *trace* of a run is the DataFrame of
+accepted (bit-flipping) events ``(t, user, contrib)`` sorted by ``t``
+(:mod:`repro.core.trace`), which is what makes the anytime-available
+evaluation (Fig. 6) a cumulative sum.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType
 
+from repro.core.trace import check_M, trace_frame
 from repro.hashing import h_star
 
 
@@ -35,6 +37,7 @@ def freebs_sequential(
     Returns the trace ``(t, user, contrib)``. Reference implementation —
     use :func:`freebs_trace` for anything larger than a test.
     """
+    check_M(M)
     bits = h_star(users, items, M, seed=seed)
     B = np.zeros(M, dtype=bool)
     m0 = M
@@ -47,9 +50,25 @@ def freebs_sequential(
             us.append(users[t])
             cs.append(M / m0)
             m0 -= 1
-    return pd.DataFrame(
-        {"t": np.array(ts, dtype=np.int64), "user": np.array(us, dtype=np.int64), "contrib": cs}
-    )
+    return trace_frame(ts, us, cs)
+
+
+def freebs_absorb(
+    bits: np.ndarray, prior, m0: int, M: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Absorb one ``t``-ordered chunk of arrivals (Algorithm 1's rule).
+
+    ``bits``: the chunk's ``h*(e)``; ``prior``: the bits there before the
+    chunk (``B[bits]``, or ``False`` for an empty array); ``m0``: the
+    zero count before it. A flip is the earliest arrival at a still-zero
+    bit; the k-th flip (k = 0, 1, …) contributes ``M/(m0-k)``. Returns
+    the flips' row indices in the chunk, their contributions and ``m0``
+    after the chunk.
+    """
+    first = ~pd.Series(bits).duplicated().to_numpy()
+    idx = np.flatnonzero(first & ~np.asarray(prior))
+    contrib = M / (m0 - np.arange(len(idx), dtype=np.float64))
+    return idx, contrib, m0 - len(idx)
 
 
 def freebs_trace(
@@ -57,25 +76,15 @@ def freebs_trace(
 ) -> pd.DataFrame:
     """Exact vectorized FreeBS: trace ``(t, user, contrib)``.
 
-    Equivalent to :func:`freebs_sequential` bit-for-bit (asserted by
-    tests), at numpy speed.
+    The whole stream absorbed as one chunk from the empty array
+    (:func:`freebs_absorb`). Equivalent to :func:`freebs_sequential`
+    bit-for-bit (asserted by tests), at numpy speed.
     """
+    check_M(M)
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    bits = h_star(users, items, M, seed=seed)
-    # earliest arrival per distinct bit = flip event
-    _, first_idx = np.unique(bits, return_index=True)
-    first_idx.sort()  # events in arrival order
-    k = np.arange(1, len(first_idx) + 1, dtype=np.float64)
-    contrib = M / (M - k + 1.0)
-    return pd.DataFrame(
-        {"t": first_idx.astype(np.int64), "user": users[first_idx], "contrib": contrib}
-    )
-
-
-def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
-    """Final per-user estimates (index: user) from a trace."""
-    return trace.groupby("user")["contrib"].sum()
+    idx, contrib, _ = freebs_absorb(h_star(users, items, M, seed=seed), False, M, M)
+    return trace_frame(idx, users[idx], contrib)
 
 
 def freebs_spark_trace(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
@@ -89,6 +98,7 @@ def freebs_spark_trace(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     scalability boundary, fine at reproduction scale (≤ M rows survive
     the dedup).
     """
+    check_M(M)
 
     @F.pandas_udf(LongType())
     def bit_udf(user: pd.Series, item: pd.Series) -> pd.Series:

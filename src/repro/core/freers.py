@@ -13,7 +13,8 @@ Exact distributed reformulation (DESIGN.md §2): register-change events
 are running-max records within each register's sub-stream (a window
 partitioned by register); each record perturbs ``S`` by
 ``Δ = 2^-ρ − 2^-prev``; a global cumulative sum of Δ in arrival order
-recovers the pre-event ``S`` and hence the contribution ``M/S``.
+recovers the pre-event ``S`` and hence the contribution ``M/S``. The
+numpy trace and the streaming state share one kernel, :func:`freers_absorb`.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType
 
+from repro.core.trace import check_M, trace_frame
 from repro.hashing import h_star, rho_star
 
 
@@ -34,6 +36,7 @@ def freers_sequential(
     w: int = 5,
 ) -> pd.DataFrame:
     """Algorithm 2 verbatim (pre-update q): trace ``(t, user, contrib)``."""
+    check_M(M)
     cap = (1 << w) - 1
     regs = h_star(users, items, M, seed=seed)
     rhos = rho_star(users, items, cap=cap, seed=seed)
@@ -48,9 +51,47 @@ def freers_sequential(
             us.append(users[t])
             S += 2.0**-r - 2.0 ** -float(R[j])
             R[j] = r
-    return pd.DataFrame(
-        {"t": np.array(ts, dtype=np.int64), "user": np.array(us, dtype=np.int64), "contrib": cs}
-    )
+    return trace_frame(ts, us, cs)
+
+
+def freers_absorb(
+    regs: np.ndarray, rhos: np.ndarray, prior, S: float, M: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Absorb one ``t``-ordered chunk of arrivals (Algorithm 2's rule).
+
+    ``regs``/``rhos``: the chunk's ``h*(e)``/``ρ*(e)``; ``prior``: the
+    registers there before the chunk (``R[regs]``, or ``0`` for an empty
+    array); ``S``: ``Σ_j 2^{-R[j]}`` before it. An event is a running-max
+    record over the prior value and the register's earlier arrivals; it
+    contributes ``M/S`` and moves ``S`` by ``2^-ρ − 2^-prev``. Returns
+    the events' row indices in the chunk, their contributions and ``S``
+    after the chunk.
+
+    Running maxima use the segmented-cummax trick: offset each
+    register's ranks by ``segment * 64`` (ranks are < 64), take one
+    ``maximum.accumulate`` over the register-sorted order, and subtract
+    the offset back.
+    """
+    order = np.argsort(regs, kind="stable")  # by register, arrival order kept
+    reg_s, rho_s = regs[order], rhos[order]
+    new_seg = np.ones(len(reg_s), dtype=bool)
+    new_seg[1:] = reg_s[1:] != reg_s[:-1]
+    offset = (np.cumsum(new_seg) - 1) * 64
+    cummax = np.maximum.accumulate(offset + rho_s) - offset
+    prev = np.zeros(len(reg_s), dtype=np.int64)
+    prev[1:] = cummax[:-1]
+    prev[new_seg] = 0  # a register's first arrival in the chunk
+    prior = np.asarray(prior)
+    prev = np.maximum(prev, prior[order] if prior.ndim else prior)
+    is_rec = rho_s > prev
+
+    idx, rho_rec, prev_rec = order[is_rec], rho_s[is_rec], prev[is_rec]
+    by_t = np.argsort(idx, kind="stable")
+    idx, rho_rec, prev_rec = idx[by_t], rho_rec[by_t], prev_rec[by_t]
+    delta = 2.0**-rho_rec.astype(np.float64) - 2.0**-prev_rec.astype(np.float64)
+    # S before each event, then S after the last one
+    s = S + np.concatenate(([0.0], np.cumsum(delta)))
+    return idx, M / s[:-1], float(s[-1])
 
 
 def freers_trace(
@@ -62,45 +103,17 @@ def freers_trace(
 ) -> pd.DataFrame:
     """Exact vectorized FreeRS trace, identical to the sequential run.
 
-    Per-register running maxima are computed with the segmented-cummax
-    trick (offset each register's ranks by ``reg * 64`` — ranks are
-    < 64 — take one global ``maximum.accumulate`` over the
-    register-sorted order, subtract the offset back).
+    The whole stream absorbed as one chunk from the empty register array
+    (:func:`freers_absorb`).
     """
+    check_M(M)
     cap = (1 << w) - 1
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     regs = h_star(users, items, M, seed=seed)
     rhos = rho_star(users, items, cap=cap, seed=seed)
-
-    order = np.argsort(regs, kind="stable")  # by register, arrival order kept
-    reg_s, rho_s = regs[order], rhos[order]
-    new_seg = np.ones(len(reg_s), dtype=bool)
-    new_seg[1:] = reg_s[1:] != reg_s[:-1]
-    seg_id = np.cumsum(new_seg) - 1
-    offset = seg_id.astype(np.int64) * 64
-    cummax = np.maximum.accumulate(offset + rho_s) - offset
-    prev = np.zeros(len(reg_s), dtype=np.int64)
-    prev[1:] = cummax[:-1]
-    prev[new_seg] = 0  # register starts at 0
-    is_record = rho_s > prev
-
-    t_rec = order[is_record]
-    rho_rec = rho_s[is_record]
-    prev_rec = prev[is_record]
-    by_t = np.argsort(t_rec, kind="stable")
-    t_rec, rho_rec, prev_rec = t_rec[by_t], rho_rec[by_t], prev_rec[by_t]
-
-    delta = 2.0**-rho_rec.astype(np.float64) - 2.0**-prev_rec.astype(np.float64)
-    s_pre = float(M) + np.concatenate(([0.0], np.cumsum(delta)[:-1]))
-    return pd.DataFrame(
-        {"t": t_rec.astype(np.int64), "user": users[t_rec], "contrib": M / s_pre}
-    )
-
-
-def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
-    """Final per-user estimates (index: user) from a trace."""
-    return trace.groupby("user")["contrib"].sum()
+    idx, contrib, _ = freers_absorb(regs, rhos, 0, float(M), M)
+    return trace_frame(idx, users[idx], contrib)
 
 
 def freers_spark_trace(
@@ -113,6 +126,7 @@ def freers_spark_trace(
     running sum of Δ for the pre-event S. The global window is single-
     partition — exactness boundary, as for FreeBS.
     """
+    check_M(M)
     cap = (1 << w) - 1
 
     @F.pandas_udf(LongType())

@@ -7,9 +7,10 @@ as Spark Structured Streaming stateful aggregations
 * :mod:`repro.streaming.shared_sketch` — FreeBS/FreeRS. The shared
   array is global state, so exact semantics require a single state
   group: the packed bit/register array plus the incremental ``q``
-  bookkeeping live in state and each micro-batch is absorbed with the
-  same vectorized event algebra as the batch implementation. Tests
-  assert the streaming run equals the batch run exactly. The group runs
+  bookkeeping live in state and each micro-batch is absorbed by the
+  numpy trace's own kernel (``repro.core.freebs.freebs_absorb`` /
+  ``repro.core.freers.freers_absorb``), with the state as prior and
+  carry. Tests assert the streaming run equals the batch run exactly. The group runs
   on one state-store partition: the returned DataFrame's ``writeStream``
   starts its query with ``spark.sql.shuffle.partitions`` at 1, changing
   the caller's session setting for the duration of ``start()`` only.

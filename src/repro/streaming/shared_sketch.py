@@ -5,9 +5,12 @@ see the array left by all earlier edges, so the stream is grouped under
 a single constant key and the whole sketch lives in that group's state
 (``applyInPandasWithState``): the packed bit/register array plus the
 O(1) bookkeeping (``m0`` resp. the harmonic sum ``S``). Each
-micro-batch is absorbed with the same vectorized event algebra as the
-batch implementation (DESIGN.md §2), so a streaming run is *exactly*
-equal to a batch run over the concatenated stream — asserted by tests.
+micro-batch is checked (:func:`batch_arrays`), hashed, and absorbed by
+the same kernel as the numpy trace — :func:`repro.core.freebs.freebs_absorb`
+resp. :func:`repro.core.freers.freers_absorb` — with the state's values
+at the batch's positions as prior and the bookkeeping as carry
+(DESIGN.md §2). A streaming run is therefore *exactly* equal to a batch
+run over the concatenated stream — asserted by tests.
 
 State size is ``M/8`` bytes (FreeBS) or one byte per register (FreeRS):
 62.5 MB at the paper's 5e8 bits, 100 MB at 1e8 registers, and the whole
@@ -32,7 +35,7 @@ on every trigger, empty or not. The returned DataFrame's
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 import pandas as pd
@@ -49,6 +52,9 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.core.freebs import freebs_absorb
+from repro.core.freers import freers_absorb
+from repro.core.trace import check_M, trace_frame
 from repro.hashing import h_star, rho_star
 
 _TRACE_SCHEMA = StructType(
@@ -103,16 +109,32 @@ def _single_group(edges: DataFrame, fn, state_schema: StructType) -> DataFrame:
     return _OnePartitionDataFrame(out._jdf, out.sparkSession)
 
 
-def _collect_sorted(pdfs: Iterator[pd.DataFrame]) -> pd.DataFrame:
-    chunks = [p for p in pdfs if len(p)]
+def batch_arrays(pdfs: Iterable[pd.DataFrame]) -> tuple[np.ndarray, ...]:
+    """One micro-batch as ``t``-sorted int64 arrays ``(t, user, item)``.
+
+    Raises ``ValueError`` on a null id or a repeated ``t``: Arrow hands a
+    null long to pandas as float NaN, which an int64 cast silently turns
+    into -2^63, and rows sharing a ``t`` have no defined arrival order.
+    """
+    cols = ["t", "user", "item"]
+    chunks = [p[cols] for p in pdfs if len(p)]
     if not chunks:
-        return pd.DataFrame({"t": [], "user": [], "item": []}).astype(np.int64)
-    return pd.concat(chunks).sort_values("t").reset_index(drop=True)
+        return tuple(np.empty(0, dtype=np.int64) for _ in cols)
+    pdf = pd.concat(chunks)
+    if pdf.isna().to_numpy().any():
+        raise ValueError("micro-batch has a null t, user or item")
+    pdf = pdf.sort_values("t", kind="stable")
+    t = pdf["t"].to_numpy(np.int64)
+    if (t[1:] == t[:-1]).any():
+        raise ValueError("micro-batch has a repeated t")
+    return t, pdf["user"].to_numpy(np.int64), pdf["item"].to_numpy(np.int64)
 
 
 def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     """Streaming FreeBS: trace of accepted events, append mode.
 
+    Each micro-batch is absorbed by :func:`repro.core.freebs.freebs_absorb`
+    with the state's bits as prior and its zero count ``m0`` as carry.
     The returned DataFrame's ``writeStream`` starts the query on one
     state-store partition whatever the session's
     ``spark.sql.shuffle.partitions``. That count is fixed in the
@@ -120,7 +142,7 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     duration of ``start()`` only; transforming the DataFrame before
     ``writeStream`` drops the policy.
     """
-
+    check_M(M)
     state_schema = StructType(
         [StructField("packed", BinaryType()), StructField("m0", LongType())]
     )
@@ -135,25 +157,11 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
             )
         else:
             B, m0 = np.zeros(M, dtype=bool), M
-        pdf = _collect_sorted(pdfs)
-        if len(pdf):
-            users = pdf["user"].to_numpy(np.int64)
-            bits = h_star(users, pdf["item"].to_numpy(np.int64), M, seed=seed)
-            # rows hitting a still-zero bit, earliest arrival per bit
-            cold = ~B[bits]
-            first = ~pd.Series(bits).duplicated().to_numpy()
-            ev = cold & first
-            k = np.arange(ev.sum(), dtype=np.float64)
-            contrib = M / (m0 - k)
-            B[bits[ev]] = True
-            m0 -= int(ev.sum())
-            yield pd.DataFrame(
-                {
-                    "t": pdf["t"].to_numpy(np.int64)[ev],
-                    "user": users[ev],
-                    "contrib": contrib,
-                }
-            )
+        t, users, items = batch_arrays(pdfs)
+        bits = h_star(users, items, M, seed=seed)
+        idx, contrib, m0 = freebs_absorb(bits, B[bits], m0, M)
+        B[bits[idx]] = True
+        yield trace_frame(t[idx], users[idx], contrib)
         # Spark reads the state after the output iterator is exhausted
         state.update((np.packbits(B).tobytes(), int(m0)))
 
@@ -165,13 +173,16 @@ def freers_stateful(
 ) -> DataFrame:
     """Streaming FreeRS: trace of accepted events, append mode.
 
-    One state-store partition, with the limits of :func:`freebs_stateful`:
-    the count is fixed in the checkpoint at first start, the session
-    setting is changed for the duration of ``start()`` only, and
-    transforming the DataFrame before ``writeStream`` drops the policy.
+    Each micro-batch is absorbed by :func:`repro.core.freers.freers_absorb`
+    with the state's registers as prior and its harmonic sum ``S`` as
+    carry. One state-store partition, with the limits of
+    :func:`freebs_stateful`: the count is fixed in the checkpoint at
+    first start, the session setting is changed for the duration of
+    ``start()`` only, and transforming the DataFrame before
+    ``writeStream`` drops the policy.
     """
+    check_M(M)
     cap = (1 << w) - 1
-
     state_schema = StructType(
         [StructField("regs", BinaryType()), StructField("hsum", DoubleType())]
     )
@@ -184,42 +195,12 @@ def freers_stateful(
             R = np.frombuffer(regs_bytes, dtype=np.uint8).copy()
         else:
             R, hsum = np.zeros(M, dtype=np.uint8), float(M)
-        pdf = _collect_sorted(pdfs)
-        if len(pdf):
-            users = pdf["user"].to_numpy(np.int64)
-            items = pdf["item"].to_numpy(np.int64)
-            ts = pdf["t"].to_numpy(np.int64)
-            regs = h_star(users, items, M, seed=seed)
-            rhos = rho_star(users, items, cap=cap, seed=seed)
-
-            order = np.argsort(regs, kind="stable")
-            reg_s, rho_s = regs[order], rhos[order]
-            new_seg = np.ones(len(reg_s), dtype=bool)
-            new_seg[1:] = reg_s[1:] != reg_s[:-1]
-            seg_id = np.cumsum(new_seg) - 1
-            offset = seg_id.astype(np.int64) * 64
-            cummax = np.maximum.accumulate(offset + rho_s) - offset
-            prev_in_batch = np.zeros(len(reg_s), dtype=np.int64)
-            prev_in_batch[1:] = cummax[:-1]
-            prev_in_batch[new_seg] = 0
-            prev = np.maximum(prev_in_batch, R[reg_s].astype(np.int64))
-            is_rec = rho_s > prev
-
-            idx = order[is_rec]
-            rho_rec, prev_rec = rho_s[is_rec], prev[is_rec]
-            by_t = np.argsort(idx, kind="stable")
-            idx, rho_rec, prev_rec = idx[by_t], rho_rec[by_t], prev_rec[by_t]
-            delta = 2.0**-rho_rec.astype(np.float64) - 2.0**-prev_rec.astype(
-                np.float64
-            )
-            s_pre = hsum + np.concatenate(([0.0], np.cumsum(delta)[:-1]))
-            contrib = M / s_pre
-
-            np.maximum.at(R, regs, rhos.astype(np.uint8))
-            hsum = float(s_pre[-1] + delta[-1]) if len(delta) else hsum
-            yield pd.DataFrame(
-                {"t": ts[idx], "user": users[idx], "contrib": contrib}
-            )
+        t, users, items = batch_arrays(pdfs)
+        regs = h_star(users, items, M, seed=seed)
+        rhos = rho_star(users, items, cap=cap, seed=seed)
+        idx, contrib, hsum = freers_absorb(regs, rhos, R[regs], hsum, M)
+        np.maximum.at(R, regs[idx], rhos[idx].astype(np.uint8))
+        yield trace_frame(t[idx], users[idx], contrib)
         state.update((R.tobytes(), hsum))
 
     return _single_group(edges, fn, state_schema)

@@ -6,6 +6,8 @@ import pandas as pd
 import pytest
 
 from repro.baselines import CseSketch, cse_spark
+from repro.baselines.tracked import virtual_positions
+from repro.hashing import f_user
 
 
 def _stream(n_users, n_per_user, seed):
@@ -90,6 +92,21 @@ class TestCseSketch:
         snaps = cse.run(users, items, checkpoints=[0, 200, len(users)])
         assert snaps[0] == {}
         assert sum(snaps[200].values()) <= sum(snaps[len(users)].values()) + 1e-9
+
+
+class TestVirtualPositions:
+    """CSE/vHLL virtual-sketch positions, computed without the M-cell array."""
+
+    @pytest.mark.parametrize(
+        "M, dtype", [(1 << 31, np.int32), ((1 << 33) + 7, np.int64)]
+    )
+    def test_positions_survive_the_index_dtype(self, M, dtype):
+        pos = virtual_positions(12345, 4096, M, seed=3)
+        assert pos.dtype == dtype
+        want = f_user(np.int64(12345), np.arange(4096), M, seed=3)
+        assert np.array_equal(pos, want)
+        if dtype is np.int64:
+            assert pos.max() >= 1 << 31
 
 
 class TestCseSpark:

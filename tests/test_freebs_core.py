@@ -3,11 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.freebs import (
-    estimates_from_trace,
-    freebs_sequential,
-    freebs_trace,
-)
+from repro.core import estimates_from_trace, freebs_sequential, freebs_trace
 
 
 def _stream(n_users, n_items, n_edges, seed):

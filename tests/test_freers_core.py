@@ -3,11 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.freers import (
-    estimates_from_trace,
-    freers_sequential,
-    freers_trace,
-)
+from repro.core import estimates_from_trace, freers_sequential, freers_trace
 
 
 def _stream(n_users, n_items, n_edges, seed):

@@ -66,7 +66,7 @@ class TestSketchesOnTpch:
     def test_total_cardinality_estimate(self, tpch_edges):
         # sum of FreeBS estimates ~ total distinct (user, item) pairs,
         # itself verified against pandas dedup
-        from repro.core.freebs import estimates_from_trace, freebs_trace
+        from repro.core import estimates_from_trace, freebs_trace
 
         _, _, pdf = tpch_edges
         n_total = len(pdf.drop_duplicates(["user", "item"]))

@@ -4,8 +4,9 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freebs import freebs_sequential, freebs_trace
-from repro.core.freers import freers_sequential, freers_trace
+from repro.core.freebs import freebs_absorb, freebs_sequential, freebs_trace
+from repro.core.freers import freers_absorb, freers_sequential, freers_trace
+from repro.core.trace import trace_frame
 from repro.hashing import h_star, rho_star
 
 streams = st.integers(1, 400).flatmap(
@@ -16,6 +17,59 @@ streams = st.integers(1, 400).flatmap(
         st.integers(0, 1 << 30),  # seed
     )
 )
+
+# a stream plus cut points in 0..n: repeated cuts make empty chunks,
+# adjacent ones single-edge chunks
+chunked_streams = streams.flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.lists(st.integers(0, len(d[0])), max_size=12)
+    )
+)
+
+
+def _chunks(n, cuts):
+    bounds = [0, *sorted(cuts), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _assert_exact(got, u, i, M, seed, trace, sequential):
+    pd.testing.assert_frame_equal(got, trace(u, i, M, seed=seed), check_exact=True)
+    pd.testing.assert_frame_equal(
+        got, sequential(u, i, M, seed=seed), check_exact=True
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunked_streams)
+def test_freebs_chunked_absorb_equals_one_shot(data):
+    """Absorbing chunk by chunk, carrying the state, is the one-shot run."""
+    (users, items, M, seed), cuts = data
+    u, i = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    bits = h_star(u, i, M, seed=seed)
+    B, m0, events = np.zeros(M, dtype=bool), M, []
+    for c in _chunks(len(u), cuts):
+        idx, contrib, m0 = freebs_absorb(bits[c], B[bits[c]], m0, M)
+        B[bits[c][idx]] = True
+        events.append(trace_frame(c.start + idx, u[c][idx], contrib))
+    got = pd.concat(events, ignore_index=True)
+    _assert_exact(got, u, i, M, seed, freebs_trace, freebs_sequential)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunked_streams)
+def test_freers_chunked_absorb_equals_one_shot(data):
+    """Same for FreeRS; at M <= 2048 every S is dyadic and exact."""
+    (users, items, M, seed), cuts = data
+    u, i = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    regs = h_star(u, i, M, seed=seed)
+    rhos = rho_star(u, i, cap=31, seed=seed)
+    R, S, events = np.zeros(M, dtype=np.uint8), float(M), []
+    for c in _chunks(len(u), cuts):
+        idx, contrib, S = freers_absorb(regs[c], rhos[c], R[regs[c]], S, M)
+        np.maximum.at(R, regs[c][idx], rhos[c][idx].astype(np.uint8))
+        events.append(trace_frame(c.start + idx, u[c][idx], contrib))
+    got = pd.concat(events, ignore_index=True)
+    _assert_exact(got, u, i, M, seed, freers_trace, freers_sequential)
 
 
 @settings(max_examples=40, deadline=None)

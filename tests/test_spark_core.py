@@ -9,6 +9,7 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.core import (
+    estimates_from_trace,
     freebs_spark,
     freebs_spark_trace,
     freebs_trace,
@@ -16,7 +17,6 @@ from repro.core import (
     freers_spark_trace,
     freers_trace,
 )
-from repro.core.freebs import estimates_from_trace
 from repro.oracle import assert_equivalent
 
 

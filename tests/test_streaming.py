@@ -59,7 +59,8 @@ def _assert_trace(got, want):
     got = got.sort_values("t").reset_index(drop=True)
     assert np.array_equal(got["t"], want["t"])
     assert np.array_equal(got["user"], want["user"])
-    np.testing.assert_allclose(got["contrib"], want["contrib"], rtol=1e-9)
+    # both drivers run one kernel, and at the tests' M every S is exact
+    assert np.array_equal(got["contrib"], want["contrib"])
 
 
 _SKETCHES = pytest.mark.parametrize(

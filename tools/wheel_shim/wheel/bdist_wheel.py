@@ -19,6 +19,27 @@ def safer_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9.]+", "_", name)
 
 
+def requires_dist(requires_txt: str) -> list[str]:
+    """``Requires-Dist`` values of an egg-info ``requires.txt``.
+
+    Lines under ``[extra]``, ``[:marker]`` or ``[extra:marker]`` get the
+    matching environment marker.
+    """
+    out, marker = [], ""
+    for line in requires_txt.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            extra, _, env = line[1:-1].partition(":")
+            terms = [f"({env})" if env and extra else env] if env else []
+            terms += [f'extra == "{extra}"'] if extra else []
+            marker = "; " + " and ".join(terms) if terms else ""
+            continue
+        out.append(line + marker)
+    return out
+
+
 class bdist_wheel(Command):
     description = "create a wheel distribution (minimal offline shim)"
 
@@ -68,17 +89,23 @@ class bdist_wheel(Command):
         """Convert an ``.egg-info`` directory into a ``.dist-info``.
 
         Called by setuptools' ``dist_info`` command. METADATA is the
-        egg's PKG-INFO; entry points and other standard egg-info files
+        egg's PKG-INFO plus a ``Requires-Dist`` header per line of its
+        ``requires.txt``; entry points and other standard egg-info files
         are carried over; the egg-info dir is removed (as the real
         wheel package does).
         """
         if os.path.isdir(distinfo_path):
             shutil.rmtree(distinfo_path)
         os.makedirs(distinfo_path)
-        shutil.copyfile(
-            os.path.join(egginfo_path, "PKG-INFO"),
-            os.path.join(distinfo_path, "METADATA"),
-        )
+        with open(os.path.join(egginfo_path, "PKG-INFO"), encoding="utf-8") as f:
+            headers, sep, body = f.read().partition("\n\n")
+        lines = [headers.rstrip("\n")]
+        requires = os.path.join(egginfo_path, "requires.txt")
+        if os.path.exists(requires):
+            with open(requires, encoding="utf-8") as f:
+                lines += [f"Requires-Dist: {r}" for r in requires_dist(f.read())]
+        with open(os.path.join(distinfo_path, "METADATA"), "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n" + ("\n" + body if sep else ""))
         for fn in ("entry_points.txt", "top_level.txt"):
             src = os.path.join(egginfo_path, fn)
             if os.path.exists(src):
