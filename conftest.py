@@ -83,3 +83,12 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def arrow_batch_rows(spark):
+    """Set the session's Arrow batch size (rows) for the rest of one test."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    caller = spark.conf.get(key)
+    yield lambda n: spark.conf.set(key, str(n))
+    spark.conf.set(key, caller)

@@ -5,27 +5,35 @@ bit ``h*(e)``; if that bit flips 0→1 the arriving user's estimate grows
 by ``1/q_B`` where ``q_B = m0/M`` is the *pre-update* fraction of zero
 bits (Horvitz–Thompson inverse inclusion probability). O(1) per edge.
 
-Exact distributed reformulation (DESIGN.md §2): a bit flips exactly
-once — at the earliest arrival hashing to it — and if flip events are
-ranked ``k = 1, 2, …`` by arrival time, the k-th flip sees
-``m0 = M-(k-1)`` zeros and therefore contributes ``M/(M-k+1)``. All
-three implementations below compute exactly this.
+Chunked reformulation (DESIGN.md §2): a bit flips exactly once — at
+the earliest arrival hashing to it — and if flip events are ranked
+``k = 1, 2, …`` by arrival time, the k-th flip sees ``m0 = M-(k-1)``
+zeros and therefore contributes ``M/(M-k+1)``. A ``t``-ordered chunk of
+arrivals is thus absorbed given only the bits at its positions and the
+O(1) carry ``m0``.
 
-The numpy trace and the streaming state absorb arrivals with one
-kernel, :func:`freebs_absorb`; the *trace* of a run is the DataFrame of
-accepted (bit-flipping) events ``(t, user, contrib)`` sorted by ``t``
-(:mod:`repro.core.trace`), which is what makes the anytime-available
-evaluation (Fig. 6) a cumulative sum.
+Every driver but the loop absorbs arrivals with one kernel,
+:func:`freebs_absorb`: the numpy trace once over the whole stream, the
+Spark batch and streaming drivers once per ``t``-ordered chunk of rows
+through :func:`freebs_absorb_chunk`. The *trace* of a run is the
+DataFrame of accepted (bit-flipping) events ``(t, user, contrib)``
+sorted by ``t`` (:mod:`repro.core.trace`), which is what makes the
+anytime-available evaluation (Fig. 6) a cumulative sum.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType
 
-from repro.core.trace import check_M, trace_frame
+from repro.core.trace import (
+    batch_arrays,
+    check_M,
+    next_last_t,
+    t_ordered_scan,
+    trace_frame,
+)
 from repro.hashing import h_star
 
 
@@ -87,35 +95,43 @@ def freebs_trace(
     return trace_frame(idx, users[idx], contrib)
 
 
+def freebs_absorb_chunk(
+    pdfs, B: np.ndarray, m0: int, last_t, M: int, seed: int = 0
+) -> tuple[pd.DataFrame, int, int | None]:
+    """Absorb one chunk of ``(t, user, item)`` rows into the bit array.
+
+    The chunk (:func:`repro.core.trace.batch_arrays`) must start after
+    ``last_t``, the last ``t`` absorbed before it (``None``: nothing
+    yet). Sets its flipped bits in ``B`` in place and returns its trace
+    rows, ``m0`` and ``last_t`` after it. The Spark batch and streaming
+    drivers call this once per chunk.
+    """
+    t, users, items = batch_arrays(pdfs)
+    last_t = next_last_t(t, last_t)
+    bits = h_star(users, items, M, seed=seed)
+    idx, contrib, m0 = freebs_absorb(bits, B[bits], m0, M)
+    B[bits[idx]] = True
+    return trace_frame(t[idx], users[idx], contrib), m0, last_t
+
+
 def freebs_spark_trace(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     """FreeBS on Spark: trace DataFrame ``(t, user, contrib)``.
 
     ``edges`` must have columns ``t`` (unique, monotone arrival index),
-    ``user``, ``item``. Dedup-per-bit and the global event rank are
-    window functions; the bit hash is the shared numpy hash via a pandas
-    UDF so the result is identical to the local implementations. The
-    global rank window is single-partition — the exact formulation's
-    scalability boundary, fine at reproduction scale (≤ M rows survive
-    the dedup).
+    ``user``, ``item``. One task absorbs the ``t``-sorted rows batch by
+    batch (:func:`freebs_absorb_chunk`), so the trace equals
+    :func:`freebs_trace` bit for bit; its Python worker holds the bit
+    array (``M`` bytes) and one Arrow batch.
     """
     check_M(M)
 
-    @F.pandas_udf(LongType())
-    def bit_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        return pd.Series(
-            h_star(user.to_numpy(), item.to_numpy(), M, seed=seed)
-        )
+    def fn(pdfs):
+        B, m0, last_t = np.zeros(M, dtype=bool), M, None
+        for pdf in pdfs:
+            trace, m0, last_t = freebs_absorb_chunk([pdf], B, m0, last_t, M, seed)
+            yield trace
 
-    w_bit = Window.partitionBy("bit").orderBy("t")
-    w_all = Window.orderBy("t")
-    return (
-        edges.withColumn("bit", bit_udf("user", "item"))
-        .withColumn("rn", F.row_number().over(w_bit))
-        .filter(F.col("rn") == 1)
-        .withColumn("k", F.row_number().over(w_all))
-        .withColumn("contrib", F.lit(float(M)) / (F.lit(float(M)) - F.col("k") + 1.0))
-        .select("t", "user", "contrib")
-    )
+    return t_ordered_scan(edges, fn)
 
 
 def freebs_spark(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:

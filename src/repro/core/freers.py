@@ -9,22 +9,30 @@ Algorithm 2's pseudocode updates q first — see DESIGN.md §1 for why we
 follow the theory). O(1) per edge via incremental maintenance of the
 sum ``S = Σ_j 2^{-R[j]}``.
 
-Exact distributed reformulation (DESIGN.md §2): register-change events
-are running-max records within each register's sub-stream (a window
-partitioned by register); each record perturbs ``S`` by
-``Δ = 2^-ρ − 2^-prev``; a global cumulative sum of Δ in arrival order
-recovers the pre-event ``S`` and hence the contribution ``M/S``. The
-numpy trace and the streaming state share one kernel, :func:`freers_absorb`.
+Chunked reformulation (DESIGN.md §2): register-change events are
+running-max records within each register's sub-stream; each record
+perturbs ``S`` by ``Δ = 2^-ρ − 2^-prev``; a cumulative sum of Δ in
+arrival order recovers the pre-event ``S`` and hence the contribution
+``M/S``. A ``t``-ordered chunk is thus absorbed given only the
+registers at its positions and the O(1) carry ``S``. Every driver but
+the loop calls one kernel, :func:`freers_absorb`: the numpy trace once,
+the Spark batch and streaming drivers once per chunk of rows through
+:func:`freers_absorb_chunk`.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType
 
-from repro.core.trace import check_M, trace_frame
+from repro.core.trace import (
+    batch_arrays,
+    check_M,
+    next_last_t,
+    t_ordered_scan,
+    trace_frame,
+)
 from repro.hashing import h_star, rho_star
 
 
@@ -116,51 +124,51 @@ def freers_trace(
     return trace_frame(idx, users[idx], contrib)
 
 
+def freers_absorb_chunk(
+    pdfs,
+    R: np.ndarray,
+    S: float,
+    last_t,
+    M: int,
+    seed: int = 0,
+    w: int = 5,
+) -> tuple[pd.DataFrame, float, int | None]:
+    """Absorb one chunk of ``(t, user, item)`` rows into the registers.
+
+    The chunk (:func:`repro.core.trace.batch_arrays`) must start after
+    ``last_t``, the last ``t`` absorbed before it (``None``: nothing
+    yet). Raises the changed registers of ``R`` (uint8) in place and
+    returns its trace rows, ``S`` and ``last_t`` after it. The Spark
+    batch and streaming drivers call this once per chunk.
+    """
+    t, users, items = batch_arrays(pdfs)
+    last_t = next_last_t(t, last_t)
+    regs = h_star(users, items, M, seed=seed)
+    rhos = rho_star(users, items, cap=(1 << w) - 1, seed=seed)
+    idx, contrib, S = freers_absorb(regs, rhos, R[regs], S, M)
+    np.maximum.at(R, regs[idx], rhos[idx].astype(np.uint8))
+    return trace_frame(t[idx], users[idx], contrib), S, last_t
+
+
 def freers_spark_trace(
     edges: DataFrame, M: int, seed: int = 0, w: int = 5
 ) -> DataFrame:
     """FreeRS on Spark: trace DataFrame ``(t, user, contrib)``.
 
-    Same window structure as the vectorized form: per-register previous
-    running max (window max over preceding rows), record filter, global
-    running sum of Δ for the pre-event S. The global window is single-
-    partition — exactness boundary, as for FreeBS.
+    One task absorbs the ``t``-sorted rows batch by batch
+    (:func:`freers_absorb_chunk`), so the trace equals
+    :func:`freers_trace` bit for bit; its Python worker holds the
+    registers (``M`` bytes) and one Arrow batch.
     """
     check_M(M)
-    cap = (1 << w) - 1
 
-    @F.pandas_udf(LongType())
-    def reg_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        return pd.Series(h_star(user.to_numpy(), item.to_numpy(), M, seed=seed))
+    def fn(pdfs):
+        R, S, last_t = np.zeros(M, dtype=np.uint8), float(M), None
+        for pdf in pdfs:
+            trace, S, last_t = freers_absorb_chunk([pdf], R, S, last_t, M, seed, w)
+            yield trace
 
-    @F.pandas_udf(LongType())
-    def rho_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        return pd.Series(
-            rho_star(user.to_numpy(), item.to_numpy(), cap=cap, seed=seed)
-        )
-
-    w_reg = (
-        Window.partitionBy("reg")
-        .orderBy("t")
-        .rowsBetween(Window.unboundedPreceding, -1)
-    )
-    w_all = Window.orderBy("t").rowsBetween(Window.unboundedPreceding, -1)
-    return (
-        edges.withColumn("reg", reg_udf("user", "item"))
-        .withColumn("rho", rho_udf("user", "item"))
-        .withColumn("prev", F.coalesce(F.max("rho").over(w_reg), F.lit(0)))
-        .filter(F.col("rho") > F.col("prev"))
-        .withColumn(
-            "delta",
-            F.pow(F.lit(2.0), -F.col("rho")) - F.pow(F.lit(2.0), -F.col("prev")),
-        )
-        .withColumn(
-            "s_pre",
-            F.lit(float(M)) + F.coalesce(F.sum("delta").over(w_all), F.lit(0.0)),
-        )
-        .withColumn("contrib", F.lit(float(M)) / F.col("s_pre"))
-        .select("t", "user", "contrib")
-    )
+    return t_ordered_scan(edges, fn)
 
 
 def freers_spark(edges: DataFrame, M: int, seed: int = 0, w: int = 5) -> DataFrame:

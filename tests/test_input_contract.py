@@ -1,8 +1,12 @@
 """The FreeBS/FreeRS input contract is checked in code: a legal M at every
-public entry point, and clean micro-batches in the streaming drivers."""
+public entry point, and clean, ``t``-ordered chunks of rows in the Spark
+batch and streaming drivers."""
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException, StreamingQueryException
 
 from repro.core import (
     freebs_sequential,
@@ -14,8 +18,8 @@ from repro.core import (
     freers_spark_trace,
     freers_trace,
 )
-from repro.streaming import freebs_stateful, freers_stateful
-from repro.streaming.shared_sketch import batch_arrays
+from repro.core.trace import batch_arrays, next_last_t
+from repro.streaming import freebs_stateful, freers_stateful, read_edge_stream
 
 _NUMPY = [freebs_sequential, freebs_trace, freers_sequential, freers_trace]
 _SPARK = [
@@ -80,3 +84,74 @@ class TestMicroBatchContract:
         pdf.loc[2, "t"] = 12
         with pytest.raises(ValueError, match="repeated t"):
             batch_arrays([pdf.iloc[:1], pdf.iloc[1:]])
+
+    def test_chunk_must_follow_last_t(self):
+        t = np.array([10, 11, 12])
+        assert next_last_t(t, None) == 12
+        assert next_last_t(t, 9) == 12
+        assert next_last_t(t[:0], 9) == 9
+        for last_t in (10, 12, 20):
+            with pytest.raises(ValueError, match="not after the last absorbed t"):
+                next_last_t(t, last_t)
+
+
+_SPARK_TRACES = pytest.mark.parametrize(
+    "spark_trace", [freebs_spark_trace, freers_spark_trace]
+)
+
+
+def _edges(spark, t, user=None):
+    n = len(t)
+    user = list(range(n)) if user is None else user
+    rows = list(zip(t, user, range(n)))
+    return spark.createDataFrame(rows, "t long, user long, item long")
+
+
+class TestSparkBatchContract:
+    @_SPARK_TRACES
+    def test_null_id_raises(self, spark, spark_trace):
+        edges = _edges(spark, [0, 1, 2], user=[0, None, 2])
+        with pytest.raises(PythonException, match="ValueError: chunk has a null"):
+            spark_trace(edges, 64).collect()
+
+    @_SPARK_TRACES
+    def test_repeated_t_in_one_batch_raises(self, spark, spark_trace):
+        edges = _edges(spark, [0, 1, 1, 2])
+        with pytest.raises(PythonException, match="ValueError: chunk has a repeated t"):
+            spark_trace(edges, 64).collect()
+
+    @_SPARK_TRACES
+    def test_repeated_t_across_batches_raises(
+        self, spark, arrow_batch_rows, spark_trace
+    ):
+        # batches [0, 1] and [1, 2]: each is clean, only their order is not
+        arrow_batch_rows(2)
+        edges = _edges(spark, [0, 1, 1, 2])
+        with pytest.raises(
+            PythonException, match="ValueError: chunk starts at t=1, not after"
+        ):
+            spark_trace(edges, 64).collect()
+
+
+@pytest.mark.parametrize("stateful", [freebs_stateful, freers_stateful])
+def test_stream_file_preceding_the_last_raises(spark, tmp_path, stateful):
+    # files staged by hand (write_stream_batches sorts by t): the second
+    # file's t's all precede the first file's
+    src = tmp_path / "src"
+    src.mkdir()
+    for i, t in enumerate(([3, 4, 5], [0, 1, 2])):
+        p = src / f"batch-{i}.parquet"
+        pd.DataFrame({"t": t, "user": t, "item": t}).to_parquet(p, index=False)
+        os.utime(p, (1_000_000_000 + i, 1_000_000_000 + i))
+    q = (
+        stateful(read_edge_stream(spark, src), 64)
+        .writeStream.format("noop")
+        .option("checkpointLocation", str(tmp_path / "ck"))
+        .trigger(availableNow=True)
+        .start()
+    )
+    with pytest.raises(
+        StreamingQueryException,
+        match="ValueError: chunk starts at t=0, not after the last absorbed t=5",
+    ):
+        q.awaitTermination(timeout=300)

@@ -17,6 +17,7 @@ from repro.core import (
     freers_spark_trace,
     freers_trace,
 )
+from repro.core.trace import TRACE_SCHEMA
 from repro.oracle import assert_equivalent
 
 
@@ -37,20 +38,36 @@ def small(spark):
     return pdf, spark.createDataFrame(pdf).repartition(8)
 
 
+def _assert_trace_exact(small, arrow_batch_rows, spark_trace, local_trace, M):
+    # one kernel in every driver, and every FreeRS S exact at these M:
+    # bit for bit, also with the array and carry passed across 6 Arrow
+    # batches
+    arrow_batch_rows(1000)
+    pdf, sdf = small
+    got = spark_trace(sdf, M).toPandas().sort_values("t").reset_index(drop=True)
+    want = local_trace(pdf["user"].to_numpy(), pdf["item"].to_numpy(), M)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def _assert_empty_trace(spark, spark_trace, local_trace):
+    sdf = spark.createDataFrame([], "t long, user long, item long")
+    got = spark_trace(sdf, 64)
+    assert got.schema == TRACE_SCHEMA
+    empty = np.empty(0, dtype=np.int64)
+    pd.testing.assert_frame_equal(
+        got.toPandas(), local_trace(empty, empty, 64), check_exact=True
+    )
+
+
 class TestFreeBsSpark:
     @pytest.mark.parametrize("M", [256, 4096])
-    def test_trace_matches_local(self, small, M):
-        pdf, sdf = small
-        got = (
-            freebs_spark_trace(sdf, M)
-            .toPandas()
-            .sort_values("t")
-            .reset_index(drop=True)
+    def test_trace_matches_local(self, small, arrow_batch_rows, M):
+        _assert_trace_exact(
+            small, arrow_batch_rows, freebs_spark_trace, freebs_trace, M
         )
-        want = freebs_trace(pdf["user"].to_numpy(), pdf["item"].to_numpy(), M)
-        assert np.array_equal(got["t"], want["t"])
-        assert np.array_equal(got["user"], want["user"])
-        np.testing.assert_allclose(got["contrib"], want["contrib"], rtol=1e-12)
+
+    def test_empty_input(self, spark):
+        _assert_empty_trace(spark, freebs_spark_trace, freebs_trace)
 
     def test_estimates_match_local(self, small):
         pdf, sdf = small
@@ -86,18 +103,13 @@ class TestFreeBsSpark:
 
 class TestFreeRsSpark:
     @pytest.mark.parametrize("M", [128, 2048])
-    def test_trace_matches_local(self, small, M):
-        pdf, sdf = small
-        got = (
-            freers_spark_trace(sdf, M)
-            .toPandas()
-            .sort_values("t")
-            .reset_index(drop=True)
+    def test_trace_matches_local(self, small, arrow_batch_rows, M):
+        _assert_trace_exact(
+            small, arrow_batch_rows, freers_spark_trace, freers_trace, M
         )
-        want = freers_trace(pdf["user"].to_numpy(), pdf["item"].to_numpy(), M)
-        assert np.array_equal(got["t"], want["t"])
-        assert np.array_equal(got["user"], want["user"])
-        np.testing.assert_allclose(got["contrib"], want["contrib"], rtol=1e-9)
+
+    def test_empty_input(self, spark):
+        _assert_empty_trace(spark, freers_spark_trace, freers_trace)
 
     def test_estimates_match_local(self, small):
         pdf, sdf = small

@@ -11,13 +11,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines import HllPerUser
 from repro.core.freebs import freebs_trace
 from repro.core.freers import freers_trace
 from repro.streaming import (
     freebs_stateful,
     freers_stateful,
-    hllpp_stateful,
     read_edge_stream,
     write_stream_batches,
 )
@@ -38,7 +36,7 @@ def _run_query(result_df, name):
     q = (
         result_df.writeStream.format("memory")
         .queryName(name)
-        .outputMode("append" if name.startswith("free") else "update")
+        .outputMode("append")
         .trigger(availableNow=True)
         .start()
     )
@@ -150,25 +148,3 @@ class TestSharedSketchStreaming:
         )
         want = freebs_trace(tiny["user"].to_numpy(), tiny["item"].to_numpy(), M)
         _assert_trace(spark.table("freebs_tiny").toPandas(), want)
-
-
-class TestPerUserStreaming:
-    def test_hllpp_streaming_matches_sequential(self, spark, tmp_path, edges_pdf):
-        m = 32
-        write_stream_batches(edges_pdf, tmp_path / "hllpp", n_batches=4)
-        stream = read_edge_stream(spark, tmp_path / "hllpp")
-        _run_query(hllpp_stateful(stream, m=m), "hllpp_stream")
-        # memory sink in update mode appends rows per batch; keep the
-        # last emitted estimate per user (estimates only grow)
-        got = (
-            spark.table("hllpp_stream")
-            .toPandas()
-            .groupby("user")["estimate"]
-            .max()
-            .sort_index()
-        )
-        h = HllPerUser(m=m)
-        h.run(edges_pdf["user"].to_numpy(), edges_pdf["item"].to_numpy())
-        want = h.final_estimates().sort_index()
-        np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-9)
-        assert set(got.index) == set(want.index)
