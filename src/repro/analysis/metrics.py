@@ -98,11 +98,13 @@ def estimates_at_checkpoints(
     contributions with ``t < T`` (edge T not yet processed — matching
     the snapshot convention of the sequential baselines).
     """
-    out: dict[int, pd.Series] = {}
     trace = trace.sort_values("t")
-    for cp in checkpoints:
-        out[cp] = estimates_from_trace(trace[trace["t"] < cp])
-    return out
+    t = trace["t"].to_numpy()
+    # the rows with t < cp are a prefix of the sorted trace
+    return {
+        cp: estimates_from_trace(trace.iloc[: np.searchsorted(t, cp)])
+        for cp in checkpoints
+    }
 
 
 def truth_at_checkpoints(

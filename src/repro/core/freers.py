@@ -75,18 +75,32 @@ def freers_absorb(
     the events' row indices in the chunk, their contributions and ``S``
     after the chunk.
 
-    Running maxima use the segmented-cummax trick: offset each
-    register's ranks by ``segment * 64`` (ranks are < 64), take one
-    ``maximum.accumulate`` over the register-sorted order, and subtract
-    the offset back.
+    Preconditions, as each must fit one 32-bit half of the sort key
+    below: register ids are below ``2^32`` (``check_M`` bounds ``M``
+    so), and the chunk has fewer than ``2^32`` rows (a longer one raises
+    ``ValueError``).
+
+    The arrivals are grouped by register with one sort of the packed
+    uint64 key ``register << 32 | row``: keys are unique, so the order
+    is register-major with arrival order kept, and the register ids and
+    row indices come back out of the sorted key with no gather. Running
+    maxima use the segmented-cummax trick: offset each rank by its
+    register id times 64 (ids ascend in that order and ranks are < 64),
+    take one ``maximum.accumulate`` and subtract the offset back.
     """
-    order = np.argsort(regs, kind="stable")  # by register, arrival order kept
-    reg_s, rho_s = regs[order], rhos[order]
-    new_seg = np.ones(len(reg_s), dtype=bool)
+    n = len(regs)
+    if n >= 1 << 32:
+        raise ValueError(f"chunk has {n} rows, must be < 2**32")
+    rows = np.arange(n, dtype=np.uint64)
+    key = np.sort(regs.astype(np.uint64) << np.uint64(32) | rows)
+    order = (key & np.uint64(0xFFFFFFFF)).view(np.int64)
+    reg_s = (key >> np.uint64(32)).view(np.int64)
+    rho_s = rhos[order]
+    new_seg = np.ones(n, dtype=bool)
     new_seg[1:] = reg_s[1:] != reg_s[:-1]
-    offset = (np.cumsum(new_seg) - 1) * 64
+    offset = reg_s * 64
     cummax = np.maximum.accumulate(offset + rho_s) - offset
-    prev = np.zeros(len(reg_s), dtype=np.int64)
+    prev = np.zeros(n, dtype=np.int64)
     prev[1:] = cummax[:-1]
     prev[new_seg] = 0  # a register's first arrival in the chunk
     prior = np.asarray(prior)
@@ -94,7 +108,7 @@ def freers_absorb(
     is_rec = rho_s > prev
 
     idx, rho_rec, prev_rec = order[is_rec], rho_s[is_rec], prev[is_rec]
-    by_t = np.argsort(idx, kind="stable")
+    by_t = np.argsort(idx)  # unique rows: no stable sort needed
     idx, rho_rec, prev_rec = idx[by_t], rho_rec[by_t], prev_rec[by_t]
     delta = 2.0**-rho_rec.astype(np.float64) - 2.0**-prev_rec.astype(np.float64)
     # S before each event, then S after the last one

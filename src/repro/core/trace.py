@@ -29,9 +29,17 @@ TRACE_SCHEMA = StructType(
 
 
 def check_M(M) -> None:
-    """Raise ``ValueError`` unless the array size ``M`` is an int ≥ 1."""
-    if isinstance(M, bool) or not isinstance(M, numbers.Integral) or M < 1:
-        raise ValueError(f"M must be an int >= 1, got {M!r}")
+    """Raise ``ValueError`` unless the array size ``M`` is an int in ``[1, 2^32)``.
+
+    Array positions must fit 32 bits: the FreeRS kernel packs a register
+    id into the high half of a uint64 sort key.
+    """
+    if (
+        isinstance(M, bool)
+        or not isinstance(M, numbers.Integral)
+        or not 1 <= M < 1 << 32
+    ):
+        raise ValueError(f"M must be an int >= 1 and < 2**32, got {M!r}")
 
 
 def trace_frame(t: np.ndarray, users: np.ndarray, contrib) -> pd.DataFrame:

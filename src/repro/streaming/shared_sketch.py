@@ -128,9 +128,7 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     ) -> Iterator[pd.DataFrame]:
         if state.exists:
             packed, m0, last_t = state.get
-            B = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=M).astype(
-                bool
-            )
+            B = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=M).view(bool)
         else:
             B, m0, last_t = np.zeros(M, dtype=bool), M, None
         trace, m0, last_t = freebs_absorb_chunk(pdfs, B, m0, last_t, M, seed)

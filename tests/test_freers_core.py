@@ -3,7 +3,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import estimates_from_trace, freers_sequential, freers_trace
+from repro.core import (
+    estimates_from_trace,
+    freers_absorb,
+    freers_sequential,
+    freers_trace,
+)
 
 
 def _stream(n_users, n_items, n_edges, seed):
@@ -74,6 +79,53 @@ class TestAlgorithmProperties:
         users, items = _stream(30, 500, 4000, 1)
         trace = freers_trace(users, items, 512)
         assert (np.diff(trace["t"].to_numpy()) > 0).all()
+
+
+def _algorithm2(regs, rhos, prior: dict, S: float, M: int):
+    """Algorithm 2's rule over a dict of registers: (idx, contrib, S)."""
+    R, idx, contrib = dict(prior), [], []
+    for i, (j, r) in enumerate(zip(regs.tolist(), rhos.tolist())):
+        p = R.get(j, 0)
+        if r > p:
+            idx.append(i)
+            contrib.append(M / S)
+            S += 2.0**-r - 2.0**-p
+            R[j] = r
+    return np.array(idx, dtype=np.int64), np.array(contrib), S
+
+
+class TestKernelBounds:
+    def test_top_of_register_range(self):
+        """Register ids in [2^31, 2^32 - 2] at M = 2^32 - 1, a few low ids
+        mixed in, repeated registers with tied ranks and a nonzero prior:
+        the kernel equals the dict loop, with no M-sized array."""
+        M = (1 << 32) - 1
+        rng = np.random.default_rng(7)
+        ids = np.concatenate(
+            [[1 << 31, M - 1], rng.integers(1 << 31, M - 1, 30), [0, 1, (1 << 31) - 1]]
+        )
+        regs = rng.choice(ids, 2000)
+        rhos = rng.integers(1, 7, 2000)  # ranks <= 6: every S below is exact
+        prior = {int(j): int(v) for j, v in zip(ids[::2], rng.integers(0, 5, 18))}
+        S = M - sum(1.0 - 2.0**-v for v in prior.values())
+        prior_at = np.array([prior.get(j, 0) for j in regs.tolist()], dtype=np.uint8)
+
+        idx, contrib, S_after = freers_absorb(regs, rhos, prior_at, S, M)
+        want_idx, want_contrib, want_S = _algorithm2(regs, rhos, prior, S, M)
+        assert 0 < len(want_idx) < len(regs)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(contrib, want_contrib)
+        assert S_after == want_S
+
+    def test_chunk_of_2_32_rows_raises(self):
+        # only the length is real: without the check the kernel fails on
+        # the missing array instead of allocating 2^32 rows
+        class Rows:
+            def __len__(self):
+                return 1 << 32
+
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            freers_absorb(Rows(), Rows(), 0, 1.0, 16)
 
 
 class TestStatistics:

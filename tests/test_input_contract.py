@@ -38,7 +38,7 @@ def edges(spark):
     return spark.createDataFrame(pd.DataFrame({"t": n, "user": n, "item": n}))
 
 
-@pytest.mark.parametrize("M", [0, -5, 2.5])
+@pytest.mark.parametrize("M", [0, -5, 2.5, 2**32])
 @pytest.mark.parametrize(
     "entry", [pytest.param(f, id=f.__name__) for f in _NUMPY + _SPARK]
 )

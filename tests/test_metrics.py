@@ -112,4 +112,22 @@ class TestCheckpoints:
         # replay manually
         for cp in cps:
             manual = trace[trace["t"] < cp].groupby("user")["contrib"].sum()
-            pd.testing.assert_series_equal(snaps[cp], manual)
+            pd.testing.assert_series_equal(snaps[cp], manual, check_exact=True)
+
+    def test_unsorted_trace_checkpoints(self):
+        """A shuffled trace, checkpoints at 0, at an event's t (which it
+        excludes), just after it and past the end: the same sums, bit for
+        bit, as masking the sorted trace."""
+        from repro.core.freebs import freebs_sequential
+
+        rng = np.random.default_rng(1)
+        users = rng.integers(0, 10, 2000)
+        items = rng.integers(0, 300, 2000)
+        trace = freebs_sequential(users, items, 512)
+        t_event = int(trace["t"].iloc[len(trace) // 2])
+        cps = [0, t_event, t_event + 1, 10**9]
+        snaps = estimates_at_checkpoints(trace.sample(frac=1, random_state=2), cps)
+        assert snaps[0].empty
+        for cp in cps:
+            manual = trace[trace["t"] < cp].groupby("user")["contrib"].sum()
+            pd.testing.assert_series_equal(snaps[cp], manual, check_exact=True)
